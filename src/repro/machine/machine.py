@@ -2,9 +2,9 @@
 
 :class:`Machine` executes one instruction per :meth:`Machine.step` call on
 a chosen context.  It performs *complete, immediate* architectural effects
-— the timing model in :mod:`repro.timing` decides *when* steps happen and
-what they cost, and the DTT engine in :mod:`repro.core` decides what the
-triggering-store and tcheck extensions do.
+— the timing model in :mod:`repro.timing` decides *when* instructions
+execute and what they cost, and the DTT engine in :mod:`repro.core`
+decides what the triggering-store and tcheck extensions do.
 
 ``step`` returns ``(instruction, address, taken)``:
 
@@ -19,13 +19,15 @@ Execution is three-tier:
 * :meth:`Machine.step` — exact single-step mode (the ``legacy`` tier).
   The program is pre-decoded once into a dense ``(handler, instruction)``
   table, so a step is a list index plus one call; there are no per-step
-  dict lookups or isinstance re-checks.  The debugger, the timing model,
-  and machine observers (profilers) all drive this tier.
+  dict lookups or isinstance re-checks.  The debugger, machine observers
+  (profilers), and the timing model's per-cycle loop drive this tier.
 * the ``closure`` tier — batch mode for functional runs.  The program is
   compiled once per machine into per-PC closures ("thunks",
   :mod:`repro.machine.fastpath`) with operands, memory, and the output
   buffer bound in; an inner loop then dispatches thousands of
-  instructions per iteration of the accounting code.
+  instructions per iteration of the accounting code.  The timing model's
+  single-context fast window (:mod:`repro.timing.window`) issues these
+  same thunks, with timed variants for loads, stores, and branches.
 * the ``superblock`` tier (the default for :meth:`Machine.run`) —
   straight-line runs are exec-compiled into single Python functions
   (:mod:`repro.machine.superblock`) that keep registers in locals and

@@ -1,10 +1,12 @@
 """Cycle-approximate SMT/CMP timing model.
 
-The timing model drives the functional machine one instruction at a time
-and charges cycles around it: shared per-core issue bandwidth across SMT
-contexts, per-class functional-unit latencies, cache-hierarchy latencies
-for memory operations, and branch-misprediction penalties from a gshare or
-bimodal predictor.  It is the substrate on which the paper's speedups are
+The timing model executes the program one instruction at a time (by
+single-stepping the functional machine, or from per-PC timed thunks when
+one context runs alone, see :mod:`repro.timing.window`) and charges
+cycles around it: shared per-core issue bandwidth across SMT contexts,
+per-class functional-unit latencies, cache-hierarchy latencies for memory
+operations, and branch-misprediction penalties from a gshare or bimodal
+predictor.  It is the substrate on which the paper's speedups are
 measured (simulated cycles, immune to host-interpreter overhead).
 
 It is deliberately *approximate* — an in-order issue model with hidden

@@ -64,21 +64,35 @@ class SmtCore:
         contexts genuinely *share* the width within a cycle instead of the
         first context hogging all slots.
         """
-        issued = 0
+        self._rotation = (self._rotation + 1) % len(self.contexts)
+        return self.issue_from(now, 0, 0)
+
+    def issue_from(self, now: int, issued: int, offset: int) -> int:
+        """The issue loop of :meth:`cycle`, resumable mid-cycle.
+
+        Continues the current round-robin pass at ``offset`` with
+        ``issued`` slots of this cycle already used; ``offset > 0`` means
+        the pass has already issued.  The timed fast window calls this to
+        finish a cycle in which a context it was issuing woke another
+        (see :mod:`repro.timing.window`).  Returns the cycle's total.
+        """
         width = self.params.issue_width
-        count = len(self.contexts)
-        self._rotation = (self._rotation + 1) % count
+        contexts = self.contexts
+        count = len(contexts)
+        rotation = self._rotation
+        progressed = offset > 0
         while issued < width:
-            progressed = False
-            for offset in range(count):
+            for slot in range(offset, count):
                 if issued >= width:
                     break
-                ctx = self.contexts[(self._rotation + offset) % count]
+                ctx = contexts[(rotation + slot) % count]
                 if ctx.state is ContextState.RUNNING and ctx.busy_until <= now:
                     issued += self._issue(ctx, now)
                     progressed = True
             if not progressed:
                 break
+            progressed = False
+            offset = 0
         if issued:
             self.busy_cycles += 1
         return issued

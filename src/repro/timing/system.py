@@ -2,12 +2,21 @@
 
 Orchestration per cycle:
 
-1. the DTT engine (if any) dispatches queued support threads onto idle
-   contexts — newly dispatched contexts pay the spawn latency;
-2. every core issues up to its width from its ready contexts;
-3. when *nothing* issued, the clock fast-forwards to the earliest cycle at
+1. when exactly one context is RUNNING and the engine cannot dispatch,
+   the timed fast window (:mod:`repro.timing.window`) takes over and
+   issues whole cycles of that context from per-PC timed thunks, until a
+   boundary op (``tst``/``tcheck``/``treturn``/``halt``) changes that —
+   leaving exactly the state steps 2-4 would have left;
+2. otherwise the DTT engine (if any) dispatches queued support threads
+   onto idle contexts — newly dispatched contexts pay the spawn latency;
+3. every core issues up to its width from its ready contexts
+   (:meth:`SmtCore.cycle`);
+4. when *nothing* issued, the clock fast-forwards to the earliest cycle at
    which any running context becomes ready (skipping DRAM-stall dead time
    in one step), with a deadlock check when no context can ever run again.
+
+Runs with a machine observer attached or the I-cache modeled use steps
+2-4 for every cycle; so does ``_run_per_cycle``, the test oracle.
 """
 
 from __future__ import annotations
@@ -24,6 +33,7 @@ from repro.timing.branch import make_predictor
 from repro.timing.core import SmtCore
 from repro.timing.params import SystemConfig
 from repro.timing.stats import EnergyModel, TimingResult
+from repro.timing.window import build_timed_table, lone_context, run_window
 
 
 class TimingSimulator:
@@ -82,11 +92,33 @@ class TimingSimulator:
                 core.model_icache = True
         self.energy_model = energy_model or EnergyModel()
         self.now = 0
+        #: instructions issued inside the timed fast window
+        self.window_instructions = 0
+        self._timed_tables = {}
 
     # -- driving --------------------------------------------------------------------
 
     def run(self) -> TimingResult:
-        """Simulate until the main context halts; returns the result."""
+        """Simulate until the main context halts; returns the result.
+
+        Cycles in which a lone context runs go through the timed fast
+        window (:mod:`repro.timing.window`) unless a machine observer is
+        attached or the I-cache is modeled; every other cycle, and every
+        cycle of those runs, goes through the per-cycle ``SmtCore`` loop.
+        Both leave bit-identical state.
+        """
+        window = not self.machine._observers and not any(
+            core.model_icache for core in self.cores)
+        try:
+            return self._run(window)
+        finally:
+            self._timed_tables.clear()  # closures over the whole machine
+
+    def _run_per_cycle(self) -> TimingResult:
+        """:meth:`run` on the per-cycle loop alone (the test oracle)."""
+        return self._run(False)
+
+    def _run(self, window: bool) -> TimingResult:
         machine = self.machine
         engine = self.engine
         main = machine.main_context
@@ -97,6 +129,11 @@ class TimingSimulator:
             self._charge_spawn(ctx, spawn_latency)
 
         while main.state is not ContextState.HALTED:
+            if window:
+                lone = lone_context(self)
+                if lone is not None:
+                    run_window(self, lone)
+                    continue
             if engine is not None:
                 engine.dispatch_pending(on_dispatch=charge_spawn)
             issued = 0
@@ -110,6 +147,13 @@ class TimingSimulator:
                     f"exceeded {max_cycles} simulated cycles"
                 )
         return self._result()
+
+    def _timed_table(self, core):
+        """``core``'s timed thunk table, built on first use."""
+        table = self._timed_tables.get(core.core_id)
+        if table is None:
+            table = self._timed_tables[core.core_id] = build_timed_table(core)
+        return table
 
     def _charge_spawn(self, ctx, spawn_latency: int) -> None:
         ctx.busy_until = self.now + spawn_latency
@@ -148,6 +192,15 @@ class TimingSimulator:
         registry = self.metrics
         machine = self.machine
         registry.counter("timing.runs", "timed runs completed").inc()
+        # residency of the fast window: a host-independent work counter
+        registry.counter(
+            "timing.instructions_total",
+            "instructions retired by every timed run",
+        ).inc(machine.instructions_executed)
+        registry.counter(
+            "timing.fast_window.instructions",
+            "timed instructions issued inside the single-context window",
+        ).inc(self.window_instructions)
         gauges = {
             "timing.cycles": (self.now, "simulated cycles of the last run"),
             "timing.instructions":

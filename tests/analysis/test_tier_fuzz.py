@@ -19,6 +19,10 @@ are judged twice — statically by ``repro.analysis.checks`` and
 dynamically by running the engine under every schedule/poison corner —
 and the two verdicts must agree.  See the "analyzer vs engine" section
 for the construction that makes the analyzer exact on this family.
+
+A third family, at the end of the file, times plans: the timing
+simulator's single-context fast window against its per-cycle loop, on
+baseline and DTT plans, compared by full end state.
 """
 
 import json
@@ -554,3 +558,221 @@ def test_dtt_corpus_covers_both_verdicts_and_every_race_code():
         codes.update(case["codes"])
     assert {"read-race", "write-race", "consume-before-complete",
             "uninitialized-register"} <= codes, sorted(codes)
+
+
+# -- timed fast window vs the per-cycle oracle ---------------------------------
+#
+# The same plan IR, now timed: ``TimingSimulator.run`` (the single-context
+# fast window wherever one context runs alone) against
+# ``TimingSimulator._run_per_cycle`` (every cycle through ``SmtCore``).
+# The full end state must match — TimingResult, fault identity, per-core
+# issue accounting and rotation, per-context registers/pc/busy_until,
+# memory and its counters (``tests/timing/oracle.py``).
+#
+# Timed plans wrap two plan bodies in a bounded "rounds" loop.  The DTT
+# variant puts a triggering store between them (the value advances by
+# ``step`` per round; step 0 makes later rounds silent stores), an
+# optional ``tcheck`` after the second body, and a plan-body support
+# thread, so ``tst``/``tcheck``/``treturn`` open and close the window in
+# every shape: main alone, main blocked while the thread runs alone (its
+# ``treturn`` wakes main mid-cycle), both running, and on ``serial`` the
+# thread inlined on main.  Baseline plans use a plain ``st``.  A drawn
+# instruction limit (sometimes tiny) and issue width cover the limit and
+# width-packing paths; wild addresses cover faults inside the window.
+
+_TIMED_CONFIGS = ["smt2", "cmp2", "serial", "smt4", "width1", "width3",
+                  "2x2", "slow"]
+_TRIG_BASE, _ROUND, _VALUE = 13, 14, 15  # clear of REGS/LOOP_REGS/BASE_REG
+
+
+def _timed_config(name):
+    from repro.cache.hierarchy import HierarchyParams
+    from repro.isa.instructions import OpClass
+    from repro.timing.params import CoreParams, SystemConfig, named_config
+
+    if name == "2x2":  # two SMT cores: rotation on more than one core
+        return SystemConfig("2x2", num_cores=2, contexts_per_core=2)
+    if name == "slow":  # L1 hits, stores, branches, jumps, sys ops stall
+        slow = {OpClass.STORE: 2, OpClass.TSTORE: 2, OpClass.BRANCH: 2,
+                OpClass.JUMP: 3, OpClass.SYS: 2}
+        return named_config("smt2", core_params=CoreParams(latency=slow),
+                            hierarchy_params=HierarchyParams(l1_latency=3))
+    if name.startswith("width"):
+        width = int(name[len("width"):])
+        return named_config("smt2", core_params=CoreParams(issue_width=width))
+    return named_config(name)
+
+
+def _compose_body(pick, depth):
+    """A plan body (the ``plan_body`` IR) from one choice primitive."""
+    body = []
+    for _ in range(pick([1, 2, 3, 4])):
+        kind = pick(["li", "alu", "alui", "funary", "ld", "st", "ldx",
+                     "stx", "out"] + (["loop", "if", "jmpfwd"]
+                                      if depth < 2 else []))
+        rd, rs, rt = pick(REGS), pick(REGS), pick(REGS)
+        if kind == "li":
+            body.append(["li", rd, pick([-3, 0, 1, 2, 7, 100, 2.5,
+                                         10 ** 40])])
+        elif kind == "alu":
+            body.append(["alu", pick(_ALU_OPS + _FALU_OPS), rd, rs, rt])
+        elif kind == "alui":
+            body.append(["alui", pick(_ALUI_OPS), rd, rs,
+                         pick([-2, 0, 1, 3, 17])])
+        elif kind == "funary":
+            body.append(["funary", pick(_FUNARY_OPS), rd, rs])
+        elif kind in ("ld", "st"):
+            body.append([kind, rd, pick(range(ARRAY))])
+        elif kind in ("ldx", "stx"):
+            body.append([kind, rd, rs])
+        elif kind == "out":
+            body.append(["out", rs])
+        elif kind == "loop":
+            body.append(["loop", pick([2, 3, 5, 8]),
+                         _compose_body(pick, depth + 1)])
+        elif kind == "if":
+            body.append(["if", rs, _compose_body(pick, depth + 1)])
+        else:
+            body.append(["jmpfwd", _compose_body(pick, depth + 1)])
+    return body
+
+
+def _compose_timed_plan(pick, coin):
+    """One timed plan; shared by hypothesis and the seeded sweep."""
+    return {
+        "dtt": coin(),
+        "config": pick(_TIMED_CONFIGS),
+        "limit": pick([MAX_INSTRUCTIONS] * 4 + [40, 150, 700]),
+        "rounds": pick([1, 2, 3, 6]),
+        "cell": pick([0, 1, 2, 3]),
+        "step": pick([0, 1, 1]),
+        "tcheck": coin() or coin(),
+        "pre": _compose_body(pick, 1),
+        "mid": _compose_body(pick, 1),
+        "post": _compose_body(pick, 1),
+        "thread": _compose_body(pick, 1),
+    }
+
+
+def lower_timed(plan):
+    """Lower a timed plan into ``(program, trigger_spec or None)``."""
+    b = ProgramBuilder()
+    b.zeros("scratch", ARRAY)
+    b.zeros("trig", 4)
+    if plan["dtt"]:
+        with b.thread("worker"):
+            b.program.add_symbol_patch(b.li(BASE_REG, 0), "b", "scratch")
+            _lower_body(b, plan["thread"], 1)
+            b.treturn()
+    with b.function("main"):
+        b.program.add_symbol_patch(b.li(BASE_REG, 0), "b", "scratch")
+        b.la(_TRIG_BASE, "trig")
+        b.li(_ROUND, plan["rounds"])
+        b.li(_VALUE, 1)
+        top = b.fresh_label("round")
+        b.label(top)
+        _lower_body(b, plan["pre"], 1)
+        if plan["dtt"]:
+            store_pc = b.tst(_VALUE, _TRIG_BASE, plan["cell"])
+        else:
+            b.st(_VALUE, _TRIG_BASE, plan["cell"])
+        _lower_body(b, plan["mid"], 1)
+        if plan["dtt"] and plan["tcheck"]:
+            b.tcheck_thread("worker")
+        b.addi(_VALUE, _VALUE, plan["step"])
+        b.subi(_ROUND, _ROUND, 1)
+        b.bnez(_ROUND, top)
+        _lower_body(b, plan["post"], 1)
+        b.halt()
+    program = b.build()
+    spec = TriggerSpec("worker", store_pcs=[store_pc]) if plan["dtt"] else None
+    return program, spec
+
+
+def _timed_simulator_factory(program, spec, config, limit):
+    from repro.timing.system import TimingSimulator
+
+    def make():
+        engine = (DttEngine(ThreadRegistry([spec]), deferred=True)
+                  if spec is not None else None)
+        return TimingSimulator(program, _timed_config(config), engine=engine,
+                               max_instructions=limit)
+    return make
+
+
+def assert_timed_paths_agree(program, spec=None, config="smt2",
+                             limit=MAX_INSTRUCTIONS):
+    from tests.timing.oracle import assert_invariants, compare_timed
+
+    fast, oracle, sim = compare_timed(
+        _timed_simulator_factory(program, spec, config, limit))
+    assert fast == oracle, f"fast window diverged from the oracle ({config})"
+    assert_invariants(sim, fast)
+    return fast, sim
+
+
+def assert_timed_plan_agrees(plan):
+    program, spec = lower_timed(plan)
+    return assert_timed_paths_agree(program, spec, plan["config"],
+                                    plan["limit"])
+
+
+@given(plan_body(0), st.sampled_from(_TIMED_CONFIGS),
+       st.sampled_from([MAX_INSTRUCTIONS, 60, 333]))
+@settings(max_examples=40, deadline=None)
+def test_random_programs_timed_fast_window_matches_oracle(plan, config,
+                                                          limit):
+    assert_timed_paths_agree(lower(plan), None, config, limit)
+
+
+@st.composite
+def timed_plan(draw):
+    return _compose_timed_plan(
+        lambda options: draw(st.sampled_from(list(options))),
+        lambda: draw(st.booleans()),
+    )
+
+
+@given(timed_plan())
+@settings(max_examples=40, deadline=None)
+def test_random_timed_plans_fast_window_matches_oracle(plan):
+    assert_timed_plan_agrees(plan)
+
+
+def test_timed_differential_sweep_is_disagreement_free(monkeypatch):
+    """Bounded CI sweep: 300 seeded timed plans, zero disagreements, and
+    every regime the window must get right actually reached."""
+    from repro.timing.core import SmtCore
+
+    wakes = []
+    issue_from = SmtCore.issue_from
+
+    def spy(core, now, issued, offset):
+        if offset:
+            wakes.append(now)
+        return issue_from(core, now, issued, offset)
+
+    monkeypatch.setattr(SmtCore, "issue_from", spy)
+    rng = random.Random(0x71AED)
+    disagreements = []
+    regimes = {"fault": 0, "limit": 0, "clean": 0, "wake": 0, "dtt": 0}
+    for index in range(300):
+        plan = _compose_timed_plan(lambda options: rng.choice(list(options)),
+                                   lambda: rng.random() < 0.5)
+        before = len(wakes)
+        try:
+            state, _ = assert_timed_plan_agrees(plan)
+        except AssertionError as exc:
+            disagreements.append((index, plan, str(exc)[:200]))
+            continue
+        fault = state["fault"]
+        if fault is None:
+            regimes["clean"] += 1
+        elif fault[0] == "ExecutionLimitExceeded":
+            regimes["limit"] += 1
+        else:
+            regimes["fault"] += 1
+        regimes["wake"] += len(wakes) > before
+        regimes["dtt"] += plan["dtt"]
+    assert not disagreements, disagreements[:3]
+    assert all(count >= 5 for count in regimes.values()), regimes

@@ -180,3 +180,33 @@ def test_small_working_set_eventually_all_hits(addresses):
         c.access(a, False)
     for a in addresses:
         assert c.access(a, False) is True
+
+
+@given(st.sampled_from([(8, 2), (16, 4), (4, 4), (8, 1)]),
+       st.lists(st.tuples(st.integers(0, 255), st.booleans()), max_size=150))
+@settings(max_examples=150, deadline=None)
+def test_lru_cache_matches_a_reference_model(geometry, accesses):
+    """Hit/miss outcomes, evictions and writebacks agree with a plain
+    per-set list model of a write-back, write-allocate LRU cache."""
+    lines, assoc = geometry
+    cache = small_cache(lines=lines, assoc=assoc, line_words=4)
+    sets = lines // assoc
+    model = {}  # set -> [tag, dirty] entries, most recent last
+    evictions = writebacks = 0
+    for address, is_write in accesses:
+        line = address // 4
+        ways = model.setdefault(line % sets, [])
+        entry = next((e for e in ways if e[0] == line // sets), None)
+        hit = entry is not None
+        if hit:
+            ways.remove(entry)
+            entry[1] = entry[1] or is_write
+        else:
+            if len(ways) == assoc:
+                evictions += 1
+                writebacks += ways.pop(0)[1]
+            entry = [line // sets, is_write]
+        ways.append(entry)
+        assert cache.access(address, is_write) == hit
+    assert (cache.stats.evictions, cache.stats.writebacks) == (
+        evictions, writebacks)

@@ -1,6 +1,7 @@
 """Replacement policies: LRU ordering, FIFO ordering, seeded random."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cache.policies import (
     FifoPolicy,
@@ -73,3 +74,30 @@ def test_sets_are_independent():
     assert lru.victim(0) == 1  # only way 1 known in set 0? most-recent=1 -> victim is stack[0]==1
     # set 1 has its own stack
     assert lru.victim(1) == 0
+
+
+@st.composite
+def lru_trace(draw):
+    associativity = draw(st.integers(1, 8))
+    accesses = draw(st.lists(
+        st.tuples(st.integers(0, 2), st.integers(0, associativity - 1)),
+        max_size=80))
+    return associativity, accesses
+
+
+@given(lru_trace())
+@settings(max_examples=200, deadline=None)
+def test_lru_victims_match_a_list_reference(trace):
+    """After every access, each set's victim is the least recently used
+    way of a plain list model (most recent last, way 0 when untouched)."""
+    associativity, accesses = trace
+    lru = LruPolicy(num_sets=3, associativity=associativity)
+    reference = {set_index: [] for set_index in range(3)}
+    for set_index, way in accesses:
+        lru.on_access(set_index, way)
+        order = reference[set_index]
+        if way in order:
+            order.remove(way)
+        order.append(way)
+        for probe, order in reference.items():
+            assert lru.victim(probe) == (order[0] if order else 0)
