@@ -428,7 +428,7 @@ class ResultStore:
             self._atomic_write(self._timings_path,
                                json.dumps(timings, sort_keys=True))
         except OSError:
-            pass  # hints are advisory; never fail a run over them
+            pass  # hints are best-effort; never fail a run over them
 
     def __repr__(self) -> str:
         return f"ResultStore({self.root!r})"

@@ -17,8 +17,6 @@ Commands::
     dtt-harness bench                # interpreter instructions/sec per tier
     dtt-harness bench --tier superblock      # only the superblock tier
     dtt-harness bench --trace        # trace codec + sampling accuracy
-    dtt-harness run E3 --tier closure        # pin the execution tier
-    dtt-harness verify --tier superblock     # correctness sweep, one tier
     dtt-harness stats --sample-rate 64 --ctrace-out run.ctrace
     dtt-harness explain --ctrace run.ctrace --activation 3
     dtt-harness report --ctrace run.ctrace -o report.html
@@ -29,9 +27,8 @@ Commands::
     dtt-harness explain --workload mcf --activation 3   # causal lineage
     dtt-harness explain --workload mcf --address 1040   # why suppressed?
     dtt-harness report --store .dtt-store -o report.html  # cross-run HTML
-    dtt-harness lint --workload all          # structural checks, all builds
-    dtt-harness lint program.dtt --json      # lint one assembly file
-    dtt-harness analyze --workload mcf       # DTT safety analysis
+    dtt-harness analyze --workload mcf       # lint + DTT safety analysis
+    dtt-harness analyze program.dtt --json   # check one assembly file
     dtt-harness analyze --workload all --fail-on warning \
         --baseline benchmarks/analysis_baseline.json    # the CI gate
     dtt-harness bench --history benchmarks/history   # grow the series
@@ -107,25 +104,9 @@ def _cmd_run(args) -> int:
     return status
 
 
-def _set_default_tier(tier: Optional[str]) -> bool:
-    """Pin ``Machine.run``'s default execution tier for this process."""
-    from repro.machine.machine import TIERS, Machine
-
-    if tier is None:
-        return True
-    if tier not in TIERS:
-        print(f"unknown execution tier {tier!r}; "
-              f"choose from {', '.join(TIERS)}")
-        return False
-    Machine.default_tier = tier
-    return True
-
-
 def _run_experiments(args) -> int:
     from repro.obs.metrics import MetricsRegistry
 
-    if not _set_default_tier(args.tier):
-        return 2
     wanted = [w.upper() for w in args.experiments]
     if "ALL" in wanted:
         wanted = list(EXPERIMENTS)
@@ -574,7 +555,7 @@ def _cmd_dashboard(args) -> int:
 
 
 def _analysis_targets(args):
-    """Resolve a lint/analyze invocation to ``(label, program, specs)``
+    """Resolve an analyze invocation to ``(label, program, specs)``
     triples — one per analyzed build.  ``specs`` is None for targets with
     no trigger registry (assembly files, baseline builds); exits via
     SystemExit(2) on unusable arguments."""
@@ -619,7 +600,7 @@ def _analysis_targets(args):
     return targets
 
 
-def _render_findings(label: str, findings, suppressed: int = 0) -> None:
+def _render_findings(label: str, findings, suppressed: int) -> None:
     counts = f"{sum(1 for f in findings if f.severity == 'error')} error(s), " \
              f"{sum(1 for f in findings if f.severity == 'warning')} warning(s)"
     if suppressed:
@@ -629,30 +610,6 @@ def _render_findings(label: str, findings, suppressed: int = 0) -> None:
         print(f"  {finding!r}")
         if finding.detail:
             print(f"      {finding.detail}")
-
-
-def _cmd_lint(args) -> int:
-    from repro.isa.lint import lint_program
-
-    try:
-        targets = _analysis_targets(args)
-    except SystemExit as error:
-        return int(error.code)
-    payload = []
-    worst_errors = 0
-    for label, program, _specs in targets:
-        findings = lint_program(program)
-        worst_errors += sum(1 for f in findings if f.severity == "error")
-        if args.json:
-            payload.append({
-                "target": label,
-                "findings": [f.to_dict() for f in findings],
-            })
-        else:
-            _render_findings(label, findings)
-    if args.json:
-        print(json.dumps(payload, indent=2))
-    return 1 if worst_errors else 0
 
 
 def _cmd_analyze(args) -> int:
@@ -837,8 +794,6 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if not _set_default_tier(args.tier):
-        return 2
     status = 0
     for name, workload in SUITE.items():
         try:
@@ -907,11 +862,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "history store (a directory of per-kind JSONL "
                           "files, or one .jsonl file) for `dtt-harness "
                           "history` trend analysis")
-    run.add_argument("--tier", default=None,
-                     choices=["legacy", "closure", "superblock"],
-                     help="pin Machine.run's execution tier for every "
-                          "simulation in this process (default: the "
-                          "machine's default tier)")
     run.add_argument("--status-file", default=None, metavar="FILE",
                      help="write a live atomic-JSON heartbeat (phase, "
                           "runs completed, instructions retired, queue "
@@ -1009,10 +959,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="verify baseline == DTT == reference")
     verify.add_argument("--seed", type=int, default=None)
     verify.add_argument("--scale", type=int, default=None)
-    verify.add_argument("--tier", default=None,
-                        choices=["legacy", "closure", "superblock"],
-                        help="pin the execution tier the sweep runs under "
-                             "(the CI smoke pins 'superblock')")
     sweep = sub.add_parser("sweep", help="headline robustness across seeds")
     sweep.add_argument("--seeds", type=int, nargs="+", default=None)
     stats = sub.add_parser(
@@ -1131,31 +1077,23 @@ def build_parser() -> argparse.ArgumentParser:
     dashboard.add_argument("--seed", type=int, default=None)
     dashboard.add_argument("--scale", type=int, default=None)
 
-    def _add_target_arguments(command):
-        command.add_argument("program", nargs="?", default=None,
-                             help="assembly file to check (optional)")
-        command.add_argument("--workload", nargs="+", default=None,
-                             metavar="NAME",
-                             help="bundled workload(s) to check, or 'all'")
-        command.add_argument("--kind", default="dtt",
-                             choices=["baseline", "dtt", "dtt-watch"],
-                             help="which build of a workload to check "
-                                  "(default: dtt)")
-        command.add_argument("--seed", type=int, default=None)
-        command.add_argument("--scale", type=int, default=None)
-        command.add_argument("--json", action="store_true",
-                             help="print findings as JSON instead of text")
-
-    lint = sub.add_parser(
-        "lint",
-        help="structural checks over a program or workload builds "
-             "(nonzero exit on errors)")
-    _add_target_arguments(lint)
     analyze = sub.add_parser(
         "analyze",
         help="DTT safety analysis (lint + trigger coverage + race checks); "
              "nonzero exit per --fail-on")
-    _add_target_arguments(analyze)
+    analyze.add_argument("program", nargs="?", default=None,
+                         help="assembly file to check (optional)")
+    analyze.add_argument("--workload", nargs="+", default=None,
+                         metavar="NAME",
+                         help="bundled workload(s) to check, or 'all'")
+    analyze.add_argument("--kind", default="dtt",
+                         choices=["baseline", "dtt", "dtt-watch"],
+                         help="which build of a workload to check "
+                              "(default: dtt)")
+    analyze.add_argument("--seed", type=int, default=None)
+    analyze.add_argument("--scale", type=int, default=None)
+    analyze.add_argument("--json", action="store_true",
+                         help="print findings as JSON instead of text")
     analyze.add_argument("--fail-on", default="error",
                          choices=["error", "warning"],
                          help="findings severity that makes the exit code "
@@ -1194,8 +1132,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _cmd_history(args)
     if args.command == "dashboard":
         return _cmd_dashboard(args)
-    if args.command == "lint":
-        return _cmd_lint(args)
     if args.command == "analyze":
         return _cmd_analyze(args)
     return _cmd_verify(args)

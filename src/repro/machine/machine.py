@@ -78,10 +78,6 @@ def _trunc_div(b: int, c: int) -> int:
 class Machine:
     """A multi-context DTIR machine over one program and one memory."""
 
-    #: execution tier :meth:`run` uses when none is passed; settable per
-    #: instance (or globally, e.g. by ``dtt-harness --tier``)
-    default_tier = "superblock"
-
     def __init__(
         self,
         program: Program,
@@ -187,7 +183,7 @@ class Machine:
 
     def run(self, ctx: Optional[Context] = None,
             max_steps: Optional[int] = None,
-            tier: Optional[str] = None) -> int:
+            tier: str = "superblock") -> int:
         """Batch-execute ``ctx`` (default: the main context).
 
         Runs until the context leaves RUNNING (halt, block, treturn), the
@@ -197,7 +193,7 @@ class Machine:
         contexts; those are counted in the machine totals as usual).
 
         ``tier`` picks the execution tier (one of :data:`TIERS`; default
-        :attr:`default_tier`).  Architectural results, counters, faults,
+        ``"superblock"``).  Architectural results, counters, faults,
         and the dynamic instruction limit behave exactly as an equivalent
         ``step()`` loop on every tier; when machine observers are
         attached (profilers, tracers needing per-instruction callbacks)
@@ -209,8 +205,6 @@ class Machine:
             raise ContextError(
                 f"context {ctx.context_id} is {ctx.state.value}, cannot step"
             )
-        if tier is None:
-            tier = self.default_tier
         if tier not in TIERS:
             raise ValueError(
                 f"unknown execution tier {tier!r} (choose from {TIERS})"
@@ -781,7 +775,7 @@ del _op, _fn
 
 
 def run_to_completion(machine: Machine,
-                      tier: Optional[str] = None) -> List[Number]:
+                      tier: str = "superblock") -> List[Number]:
     """Run the main context until it halts; returns the output buffer.
 
     This is the *functional* driver: support threads are executed

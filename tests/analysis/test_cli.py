@@ -1,6 +1,12 @@
-"""CLI surface: dtt-harness lint / analyze exit codes, JSON, baselines."""
+"""CLI surface: dtt-harness analyze exit codes, JSON, baselines.
+
+``analyze`` runs the structural lint checks first, so its output covers
+every lint finding as well as the DTT safety checks.
+"""
 
 import json
+
+import pytest
 
 from repro.harness.cli import main
 from repro.isa.assembler import format_program
@@ -29,48 +35,6 @@ def clean_program_text():
     return format_program(b.build())
 
 
-# -- lint ---------------------------------------------------------------------
-
-
-def test_lint_clean_workload(capsys):
-    assert main(["lint", "--workload", "mcf"]) == 0
-    out = capsys.readouterr().out
-    assert "mcf:dtt: 0 error(s), 0 warning(s)" in out
-
-
-def test_lint_all_workloads(capsys):
-    assert main(["lint", "--workload", "all"]) == 0
-    out = capsys.readouterr().out
-    assert "mcf:dtt" in out and "equake:dtt" in out
-
-
-def test_lint_program_file_with_errors(tmp_path, capsys):
-    path = tmp_path / "bad.dtt"
-    path.write_text(racy_program_text())
-    assert main(["lint", str(path)]) == 1
-    out = capsys.readouterr().out
-    assert "no-halt" in out
-
-
-def test_lint_json_shape(tmp_path, capsys):
-    path = tmp_path / "bad.dtt"
-    path.write_text(racy_program_text())
-    assert main(["lint", str(path), "--json"]) == 1
-    payload = json.loads(capsys.readouterr().out)
-    assert payload[0]["target"] == "bad.dtt"
-    assert "no-halt" in [f["code"] for f in payload[0]["findings"]]
-
-
-def test_lint_rejects_unknown_workload(capsys):
-    assert main(["lint", "--workload", "nope"]) == 2
-    assert "unknown workload" in capsys.readouterr().out
-
-
-def test_lint_requires_a_target(capsys):
-    assert main(["lint"]) == 2
-    assert "nothing to check" in capsys.readouterr().out
-
-
 # -- analyze ------------------------------------------------------------------
 
 
@@ -84,6 +48,8 @@ def test_analyze_clean_workload(capsys):
 def test_analyze_whole_suite_even_at_fail_on_warning(capsys):
     assert main(["analyze", "--workload", "all",
                  "--fail-on", "warning"]) == 0
+    out = capsys.readouterr().out
+    assert "mcf:dtt" in out and "equake:dtt" in out
 
 
 def test_analyze_runs_lint_first(tmp_path, capsys):
@@ -102,6 +68,7 @@ def test_analyze_json_shape(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     target = payload["targets"][0]
     assert target["target"] == "bad.dtt"
+    assert "no-halt" in [f["code"] for f in target["findings"]]
     assert target["summary"]["errors"] >= 2
     assert payload["summary"]["errors"] == target["summary"]["errors"]
 
@@ -137,9 +104,16 @@ def test_analyze_rejects_malformed_baseline(tmp_path, capsys):
                  "--baseline", str(bad)]) == 2
 
 
-def test_analyze_rejects_unreadable_program(tmp_path, capsys):
-    assert main(["analyze", str(tmp_path / "missing.dtt")]) == 2
-    assert "cannot load" in capsys.readouterr().out
+@pytest.mark.parametrize("argv, message", [
+    (["missing.dtt"], "cannot load"),
+    (["--workload", "nope"], "unknown workload"),
+    ([], "nothing to check"),
+], ids=["unreadable-program", "unknown-workload", "no-target"])
+def test_analyze_rejects_unusable_target(argv, message, tmp_path,
+                                         monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # so missing.dtt really is missing
+    assert main(["analyze", *argv]) == 2
+    assert message in capsys.readouterr().out
 
 
 def test_analyze_against_committed_baseline(capsys):

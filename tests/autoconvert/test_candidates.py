@@ -7,40 +7,57 @@ from repro.isa.builder import ProgramBuilder
 from repro.workloads.suite import get_workload
 
 
-def micro_program(steps: int = 8, width: int = 4):
-    """A minimal update/recompute/consume kernel in the suite's shape.
+def kernel_program(steps: int, pairs):
+    """Update/recompute/consume kernels in the suite's shape, one per
+    ``pairs`` entry (name suffix -> (width, update pattern)), over
+    disjoint arrays and run in turn inside one step loop.
 
     Each step stores an update value into ``xs[0]`` (mostly silent —
-    ``upd`` repeats values), recomputes ``sum = Σ xs[i]`` from scratch
-    (the convertible region: register-closed, single entry/exit), then
-    consumes ``sum`` through ``out``.
+    the pattern repeats values), recomputes ``sum = Σ xs[i]`` from
+    scratch (the convertible region: register-closed, single
+    entry/exit), then consumes ``sum`` through ``out``.
     """
     b = ProgramBuilder()
-    b.data("xs", [(3, 1, 4, 1)[i % 4] for i in range(width)])
-    b.data("upd", [(7, 7, 7, 5, 7, 7, 5, 7)[i % 8] for i in range(steps)])
-    b.zeros("sum", 1)
+    for sfx, (width, pattern) in pairs.items():
+        b.data(f"xs{sfx}", [(3, 1, 4, 1)[i % 4] for i in range(width)])
+        b.data(f"upd{sfx}",
+               [pattern[i % len(pattern)] for i in range(steps)])
+        b.zeros(f"sum{sfx}", 1)
     with b.function("main"):
         t = b.global_reg("t")
         with b.for_range(t, 0, steps):
-            with b.scratch(3) as (u, v, x):
-                b.la(u, "upd")
-                b.ldx(v, u, t)
-                b.la(x, "xs")
-                b.st(v, x, 0)  # the feeder: mostly-silent update
-            with b.scratch(4) as (i, base, s, tmp):
-                b.la(base, "xs")  # the region: full recompute of sum
-                b.li(s, 0)
-                with b.for_range(i, 0, width):
-                    b.ldx(tmp, base, i)
-                    b.add(s, s, tmp)
-                b.la(tmp, "sum")
-                b.st(s, tmp, 0)
-            with b.scratch(2) as (p, q):
-                b.la(p, "sum")  # the consumer
-                b.ld(q, p, 0)
-                b.out(q)
+            for sfx, (width, _) in pairs.items():
+                with b.scratch(3) as (u, v, x):
+                    b.la(u, f"upd{sfx}")
+                    b.ldx(v, u, t)
+                    b.la(x, f"xs{sfx}")
+                    b.st(v, x, 0)  # the feeder: mostly-silent update
+                with b.scratch(4) as (i, base, s, tmp):
+                    b.la(base, f"xs{sfx}")  # the region: recompute sum
+                    b.li(s, 0)
+                    with b.for_range(i, 0, width):
+                        b.ldx(tmp, base, i)
+                        b.add(s, s, tmp)
+                    b.la(tmp, f"sum{sfx}")
+                    b.st(s, tmp, 0)
+                with b.scratch(2) as (p, q):
+                    b.la(p, f"sum{sfx}")  # the consumer
+                    b.ld(q, p, 0)
+                    b.out(q)
         b.halt()
     return b.build()
+
+
+def micro_program(steps: int = 8, width: int = 4):
+    """A minimal single-kernel program: one candidate."""
+    return kernel_program(steps, {"": (width, (7, 7, 7, 5, 7, 7, 5, 7))})
+
+
+def two_pair_program(steps: int = 16):
+    """Two independent kernels with different widths and silent-store
+    patterns, so discovery yields two candidates with different scores."""
+    return kernel_program(steps, {"_a": (32, (7, 7, 7, 5)),
+                                  "_b": (24, (2, 9, 2, 2, 9, 9, 2, 2))})
 
 
 def feeder_ops(program, candidate):
@@ -192,3 +209,31 @@ def test_as_dict_is_json_ready():
     assert row["region_start"] == candidate.region_start
     assert row["store_pcs"] == list(candidate.store_pcs)
     assert "score_ci_low" in row
+
+
+def test_exact_ranking_orders_several_candidates_by_score():
+    ranked = rank_candidates(two_pair_program())
+    assert len(ranked) == 2
+    assert ranked[0].score > ranked[1].score > 0
+
+
+# rate-2 address sampling on this program: seed 0 witnesses neither
+# feeder (a tie, broken by region_start), seed 1 both, seed 2 only the
+# exact profile's runner-up
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_sampled_ranking_orders_several_candidates_by_ci_low(seed):
+    ranked = rank_candidates(two_pair_program(), sample_rate=2,
+                             sample_seed=seed)
+    assert len(ranked) >= 2
+    keys = [(-c.ci_low, c.region_start) for c in ranked]
+    assert keys == sorted(keys)
+
+
+def test_sampled_ranking_can_overturn_the_exact_order():
+    """The sampled order follows what the sample witnessed, not the
+    exact score: a candidate whose feeder the sample missed ranks last."""
+    program = two_pair_program()
+    exact = [c.region_start for c in rank_candidates(program)]
+    sampled = rank_candidates(program, sample_rate=2, sample_seed=2)
+    assert [c.region_start for c in sampled] == exact[::-1]
+    assert sampled[0].ci_low > sampled[1].ci_low == 0.0
