@@ -160,11 +160,6 @@ class EngineTrace:
             if self.keep == "tail":
                 self.events.append(event)  # deque evicts the oldest
 
-    # retained for callers/tests that emitted events directly
-    def _emit(self, kind: str, thread: Optional[str],
-              address: Optional[int] = None, detail: str = "") -> None:
-        self.record(kind, thread, address, detail)
-
     # -- queries --------------------------------------------------------------------
 
     def of_kind(self, kind: str) -> List[EngineEvent]:

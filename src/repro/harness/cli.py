@@ -14,8 +14,7 @@ Commands::
     dtt-harness compare old.json new.json    # flag regressions
     dtt-harness convert --workload mcf       # auto-convert to DTT
     dtt-harness convert --workload all --bench-out BENCH_autoconvert.json
-    dtt-harness bench                # interpreter instructions/sec per tier
-    dtt-harness bench --tier superblock      # only the superblock tier
+    dtt-harness bench                # interpreter instructions/sec
     dtt-harness bench --trace        # trace codec + sampling accuracy
     dtt-harness stats --sample-rate 64 --ctrace-out run.ctrace
     dtt-harness explain --ctrace run.ctrace --activation 3
@@ -246,8 +245,7 @@ def _cmd_bench(args) -> int:
         else:
             result = run_bench(workloads=args.workloads, repeat=args.repeat,
                                seed=args.seed, scale=args.scale,
-                               max_instructions=args.max_instructions,
-                               tiers=args.tier)
+                               max_instructions=args.max_instructions)
     except MachineError as error:
         print(f"bench failed: {error}")
         return 2
@@ -876,15 +874,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="workload classes to measure (default: mcf "
                             "equake perlbmk)")
     bench.add_argument("--repeat", type=int, default=3, metavar="N",
-                       help="timed attempts per tier; best is reported "
+                       help="timed attempts per driver; best is reported "
                             "(default: 3)")
     bench.add_argument("--seed", type=int, default=None)
     bench.add_argument("--scale", type=int, default=None)
     bench.add_argument("--max-instructions", type=int, default=50_000_000)
-    bench.add_argument("--tier", nargs="+", default=None,
-                       choices=["closure", "superblock"],
-                       help="fast tier(s) to measure against legacy "
-                            "stepping (default: both)")
     bench.add_argument("--trace", action="store_true",
                        help="run the trace-overhead benchmark instead "
                             "(ctrace bytes/event, compression ratio, codec "

@@ -32,7 +32,7 @@ private runner and hand results back through
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.config import DttConfig
 from repro.core.trace import EngineTrace
@@ -107,6 +107,8 @@ class SuiteRunner:
         self._misses = 0
         self._store_hits = 0
         self._store_misses = 0
+        #: (kind, runner key) of runs the store was read for and lacked
+        self._store_missed: Set[Tuple] = set()
 
     # -- cache accounting --------------------------------------------------------
 
@@ -185,6 +187,7 @@ class SuiteRunner:
         self._misses = 0
         self._store_hits = 0
         self._store_misses = 0
+        self._store_missed.clear()
 
     def phase_seconds(self) -> Dict[str, float]:
         """Wall-clock seconds per phase (one phase per executed run)."""
@@ -355,24 +358,6 @@ class SuiteRunner:
 
     # -- persistent store --------------------------------------------------------
 
-    def _try_store(self, spec: RunSpec) -> bool:
-        """Restore ``spec`` from the store into the memo, if possible.
-
-        The single counting site for store hits and misses: a hit
-        installs the entry and returns True; an absent/corrupt entry
-        counts a miss and returns False.  Reads are disabled while
-        tracing (traces need live engines).
-        """
-        if self.store is None or self.trace_enabled:
-            return False
-        entry = self.store.get(spec)
-        if entry is None:
-            self._record_store_miss()
-            return False
-        self._install(spec, entry["payload"])
-        self._record_store_hit()
-        return True
-
     def _install(self, spec: RunSpec, payload: Dict) -> None:
         """Decode ``payload`` into the memo (and engine views)."""
         key = spec.runner_key()
@@ -404,18 +389,26 @@ class SuiteRunner:
                        else self._timed)
 
     def load_from_store(self, spec: RunSpec) -> bool:
-        """Serve ``spec`` from the persistent store if present.
+        """Restore ``spec`` from the persistent store into the memo.
 
-        Counts only hits — a miss here means the scheduler will execute
-        the run, and the execution path counts the store miss exactly
-        once (avoiding double counting when serial fallback re-checks).
+        The single counting site for store hits and misses.  Each run is
+        read at most once per runner: a miss is remembered, so the
+        execution that follows (serial, nested baseline check, or worker
+        fallback) does not read the same entry again.  Reads are
+        disabled while tracing (traces need live engines), and a
+        sampling runner never restores a profile (stored ones are exact).
         """
         if self.store is None or self.trace_enabled:
             return False
         if spec.kind == "profile" and self.sample_rate is not None:
-            return False  # stored profiles are exact; this runner samples
+            return False
+        key = (spec.kind, spec.runner_key())
+        if key in self._store_missed:
+            return False
         entry = self.store.get(spec)
         if entry is None:
+            self._store_missed.add(key)
+            self._record_store_miss()
             return False
         self._install(spec, entry["payload"])
         self._record_store_hit()
@@ -451,12 +444,11 @@ class SuiteRunner:
         """Adopt a worker-executed run: memo, store write-back, and the
         executed-run count.  The run's engine/timing/cache-miss counters
         arrive separately via :meth:`merge_worker_run` (already
-        incremented worker-side); the store miss is metered *here*
-        because workers never see the store."""
+        incremented worker-side); its store miss was counted when the
+        plan looked it up."""
         self._install(spec, payload)
         self._misses += 1
         if self.store is not None:
-            self._record_store_miss()
             self.store.put(spec, payload, elapsed)
 
     def merge_worker_run(self, metrics_values: Optional[Dict],
@@ -488,7 +480,7 @@ class SuiteRunner:
         if key in self._timed:
             self._record_hit()
             return self._timed[key]
-        if self._try_store(spec):
+        if self.load_from_store(spec):
             return self._timed[key]
         self._record_miss()
         inp = workload.make_input(self.seed, self.scale)
@@ -584,7 +576,7 @@ class SuiteRunner:
         if key in self._profiles:
             self._record_hit()
             return self._profiles[key]
-        if not sampled and self._try_store(spec):
+        if self.load_from_store(spec):
             return self._profiles[key]
         self._record_miss()
         inp = workload.make_input(self.seed, self.scale)

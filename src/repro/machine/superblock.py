@@ -1,8 +1,8 @@
 """Superblock compiler: exec-compiled straight-line runs for ``Machine.run``.
 
-This is the third (topmost) execution tier.  Where the closure fast path
-(:mod:`repro.machine.fastpath`) pays one Python call per instruction, this
-tier partitions the program into single-entry multi-exit *superblocks*
+This is the batch driver's compiled layer.  Where the closure thunks
+(:mod:`repro.machine.fastpath`) pay one Python call per instruction, this
+layer partitions the program into single-entry multi-exit *superblocks*
 and lowers each into one Python function built with ``compile``/``exec``.
 Inside a block, registers live in Python locals, ALU ops are inline
 expressions, and memory accesses go straight at the machine's words dict
@@ -35,7 +35,7 @@ Conditional branches do **not** end a block:
 
 Side exits and faults
 ---------------------
-The contract with :meth:`Machine._run_superblock` (mirroring the thunk
+The contract with :meth:`Machine.run` (mirroring the thunk
 contract):
 
 * return ``>= 0`` — the block retired ``cell[0]`` instructions and the

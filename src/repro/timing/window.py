@@ -15,7 +15,7 @@ core.  A thunk applies the instruction's architectural effect and returns
 its next PC; when the instruction makes the context busy (latency above
 one cycle) it returns ``~(next_pc | latency << 32)`` instead:
 
-* static-latency ops reuse the machine's closure-tier thunks
+* static-latency ops reuse the machine's closure thunks
   (:mod:`repro.machine.fastpath`), wrapped to encode the latency only
   when it exceeds one cycle;
 * loads and stores call :meth:`CacheHierarchy.access` (an L1 hit at or
@@ -90,7 +90,7 @@ def _boundary(ctx) -> int:
 
 
 def _t_stall(base, latency):
-    """A closure-tier thunk whose instruction keeps the context busy."""
+    """A closure thunk whose instruction keeps the context busy."""
     stall = latency << _SHIFT
 
     def thunk(ctx):

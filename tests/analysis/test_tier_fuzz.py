@@ -1,11 +1,13 @@
-"""Property-based tier equivalence: legacy / closure / superblock.
+"""Property-based driver equivalence: step / closure thunks / superblock.
 
 Random well-formed DTIR programs — nested bounded loops, if-diamonds,
 forward jumps, integer/float ALU traffic, and wild computed addresses —
-are executed under all three ``Machine.run`` tiers.  Registers, memory,
-output, counters, final pc/state, and any fault (type and message) must
-be identical; the superblock tier's if-conversion, tail duplication,
-side exits, and mid-block fault reconciliation may not be observable.
+are executed by the ``step()`` oracle, by the closure-thunk table driven
+on its own (every thunk on every PC), and by ``Machine.run``.
+Registers, memory, output, counters, final pc/state, and any fault (type
+and message) must be identical; the superblock driver's if-conversion,
+tail duplication, side exits, and mid-block fault reconciliation may not
+be observable.
 
 Counterexamples found by hypothesis are committed to
 ``tier_fuzz_corpus.json`` (one named plan per historical divergence,
@@ -39,9 +41,9 @@ from repro.core.registry import ThreadRegistry, TriggerSpec
 from repro.core.trace import EngineTrace
 from repro.isa.builder import ProgramBuilder
 from repro.machine.context import ContextState
-from repro.machine.machine import Machine, run_to_completion
+from repro.machine.machine import Machine
 
-from tests.conftest import build_dtt_sum
+from tests.conftest import DRIVERS, build_dtt_sum
 
 CORPUS_PATH = Path(__file__).with_name("tier_fuzz_corpus.json")
 CORPUS = json.loads(CORPUS_PATH.read_text())
@@ -118,7 +120,7 @@ def _lower_body(b, body, depth):
             raise AssertionError(f"unknown plan item {item!r}")
 
 
-# -- three-tier differential check ---------------------------------------------
+# -- three-driver differential check -------------------------------------------
 
 
 def _norm(value):
@@ -132,12 +134,7 @@ def _run_tier(program, tier):
     machine = Machine(program, max_instructions=MAX_INSTRUCTIONS)
     fault = None
     try:
-        if tier == "step":
-            main = machine.main_context
-            while main.state is ContextState.RUNNING:
-                machine.step(main)
-        else:
-            run_to_completion(machine, tier=tier)
+        DRIVERS[tier](machine)
     except Exception as exc:  # noqa: BLE001 - fault identity is the point
         fault = (type(exc).__name__, str(exc))
     main = machine.main_context
@@ -251,12 +248,7 @@ def test_dtt_trace_streams_identical_across_tiers(tier):
         engine = DttEngine(ThreadRegistry([spec]))
         machine.attach_engine(engine)
         trace = EngineTrace(engine)
-        if selected_tier == "step":
-            main = machine.main_context
-            while main.state is ContextState.RUNNING:
-                machine.step(main)
-        else:
-            run_to_completion(machine, tier=selected_tier)
+        DRIVERS[selected_tier](machine)
         return machine, [repr(e) for e in trace.events]
 
     legacy_machine, legacy_events = run("step")

@@ -6,8 +6,11 @@ import pytest
 
 from repro.core.engine import DttEngine
 from repro.core.registry import ThreadRegistry, TriggerSpec
+from repro.errors import ExecutionFault, ExecutionLimitExceeded
 from repro.isa.builder import ProgramBuilder
-from repro.machine.machine import Machine
+from repro.machine.context import ContextState
+from repro.machine.fastpath import build_thunks
+from repro.machine.machine import Machine, run_to_completion
 
 
 @pytest.fixture
@@ -92,6 +95,48 @@ def build_dtt_sum(values, upd_idx, upd_val, per_address=False):
     spec = TriggerSpec("sumthr", store_pcs=[tst_pc],
                        per_address_dedupe=per_address)
     return program, spec
+
+
+def drive_steps(machine):
+    """The ``step()`` oracle: single-step the main context until it stops."""
+    main = machine.main_context
+    while main.state is ContextState.RUNNING:
+        machine.step(main)
+    return machine.output
+
+
+def drive_thunks(machine, executed_ops=None):
+    """Run the main context on the closure thunks alone, one call each.
+
+    ``Machine.run`` reaches a thunk only at side exits and uncompiled
+    PCs; this runs every thunk on every PC, counting as ``step()`` does,
+    so its end state must match the oracle's field for field.  Executed
+    ops are added to the ``executed_ops`` set when one is given.
+    """
+    table = build_thunks(machine)
+    main = machine.main_context
+    while main.state is ContextState.RUNNING:
+        machine.instructions_executed += 1
+        if machine.instructions_executed > machine.max_instructions:
+            raise ExecutionLimitExceeded(
+                f"exceeded {machine.max_instructions} dynamic instructions")
+        main.instruction_count += 1
+        machine.main_instructions += 1
+        if main.pc >= len(table):
+            raise ExecutionFault(
+                f"context {main.context_id} ran off the end of the program "
+                f"(pc={main.pc})")
+        if executed_ops is not None:
+            executed_ops.add(machine.program.instructions[main.pc].op)
+        pc = table[main.pc](main)
+        if pc >= 0:
+            main.pc = pc  # -1 and -2 - pc: the handler already set ctx.pc
+    return machine.output
+
+
+#: the functional drivers differential tests compare, by name
+DRIVERS = {"step": drive_steps, "closure": drive_thunks,
+           "superblock": run_to_completion}
 
 
 def expected_dtt_sum(values, upd_idx, upd_val):

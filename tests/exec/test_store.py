@@ -7,6 +7,7 @@ import pytest
 
 from repro.core.config import DttConfig
 from repro.exec.plan import RunSpec
+from repro.exec.pool import execute_plan
 from repro.exec.store import (ResultStore, StoredEngineView, decode_profile,
                               decode_timed, encode_profile, encode_timed)
 from repro.errors import StoreError
@@ -175,3 +176,32 @@ def test_runner_recovers_from_corrupted_store_entry(tmp_path):
     healed = SuiteRunner(store=store_dir)
     healed.timed(SUITE["perlbmk"], "baseline")
     assert healed.cache_stats()["store_hits"] == 1
+
+
+def test_plan_reads_each_store_entry_once(tmp_path, monkeypatch):
+    """A planned run is read once: the serial leg and the nested baseline
+    check reuse the plan's lookup instead of reading the entry again."""
+    reads = []
+    real_get = ResultStore.get
+
+    def counting_get(self, spec):
+        reads.append(spec.canonical())
+        return real_get(self, spec)
+
+    monkeypatch.setattr(ResultStore, "get", counting_get)
+    plan = [RunSpec.for_timed("perlbmk", "dtt"),
+            RunSpec.for_timed("perlbmk", "baseline"),
+            RunSpec.for_profile("perlbmk")]
+    store_dir = str(tmp_path / "store")
+    cold = SuiteRunner(store=store_dir)
+    execute_plan(plan, cold, jobs=1)
+    assert sorted(reads) == sorted(spec.canonical() for spec in plan)
+    assert cold.cache_stats()["store_misses"] == 3
+    assert cold.cache_stats()["store_hits"] == 0
+
+    reads.clear()
+    warm = SuiteRunner(store=store_dir)
+    execute_plan(plan, warm, jobs=1)
+    assert len(reads) == 3
+    assert warm.cache_stats()["store_hits"] == 3
+    assert warm.cache_stats()["store_misses"] == 0

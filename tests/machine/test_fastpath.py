@@ -1,17 +1,19 @@
-"""Tier equivalence: ``Machine.run`` must match ``step()`` exactly.
+"""Driver equivalence: ``Machine.run`` and its thunks must match ``step()``.
 
-``run`` has two fast tiers above the legacy step loop — per-PC closure
-thunks (PR 4) and exec-compiled superblocks — and both batch their
-counter reconciliation; these tests prove that is invisible — every
-bundled workload produces byte-identical memory, output, counters, and
-engine trace streams under all three tiers, and faults/limits/budgets
-land on the same instruction with the same machine state.
+``run`` is the superblock batch driver: exec-compiled blocks with a
+per-PC closure-thunk fallback, and batched counter reconciliation.
+These tests prove that is invisible — every bundled workload produces
+byte-identical memory, output, counters, and engine trace streams under
+``run`` and under the thunk table driven on its own (``closure``), and
+faults/limits/budgets land on the same instruction with the same machine
+state.  Every specialized thunk is also run directly against ``step()``.
 """
 
 import pytest
 
 from repro.core.trace import EngineTrace
 from repro.errors import (
+    AlignmentFault,
     ContextError,
     ExecutionFault,
     ExecutionLimitExceeded,
@@ -22,20 +24,18 @@ from repro.isa.instructions import Instruction
 from repro.isa.program import Program
 from repro.machine.context import ContextState
 from repro.machine.events import MachineObserver
-from repro.machine.machine import Machine, run_to_completion
+from repro.machine.machine import (
+    _ALU_RR_FNS,
+    _ALU_RRI_FNS,
+    _ALU_RRR_FNS,
+    _BRANCH_RRL_FNS,
+    _DISPATCH,
+    Machine,
+    run_to_completion,
+)
 from repro.workloads.suite import SUITE
 
-from tests.conftest import build_dtt_sum
-
-
-def drive_legacy(machine):
-    """Reference driver: per-instruction step() calls only."""
-    main = machine.main_context
-    while main.state is not ContextState.HALTED:
-        if main.state is not ContextState.RUNNING:
-            raise AssertionError(f"main context {main.state}")
-        machine.step(main)
-    return machine.output
+from tests.conftest import DRIVERS, build_dtt_sum, drive_steps, drive_thunks
 
 
 def fingerprint(machine):
@@ -56,27 +56,25 @@ def fingerprint(machine):
     }
 
 
-# -- every bundled workload, every tier --------------------------------------------
-
-FAST_TIERS = ("closure", "superblock")
+# -- every bundled workload, both fast drivers -------------------------------------
 
 
-@pytest.mark.parametrize("tier", FAST_TIERS)
+@pytest.mark.parametrize("driver", ["closure", "superblock"])
 @pytest.mark.parametrize("name", sorted(SUITE))
-def test_baseline_workload_equivalence(name, tier):
+def test_baseline_workload_equivalence(name, driver):
     workload = SUITE[name]
     inp = workload.make_input()
     program = workload.build_baseline(inp)
     legacy = Machine(program)
-    drive_legacy(legacy)
+    drive_steps(legacy)
     fast = Machine(program)
-    run_to_completion(fast, tier=tier)
+    DRIVERS[driver](fast)
     assert fingerprint(fast) == fingerprint(legacy)
 
 
-@pytest.mark.parametrize("tier", FAST_TIERS)
+@pytest.mark.parametrize("driver", ["closure", "superblock"])
 @pytest.mark.parametrize("name", sorted(SUITE))
-def test_dtt_workload_equivalence_with_trace(name, tier):
+def test_dtt_workload_equivalence_with_trace(name, driver):
     workload = SUITE[name]
     inp = workload.make_input()
     build = workload.build_dtt(inp)
@@ -89,9 +87,9 @@ def test_dtt_workload_equivalence_with_trace(name, tier):
         return machine, engine, trace
 
     legacy, legacy_engine, legacy_trace = machine_with_engine()
-    drive_legacy(legacy)
+    drive_steps(legacy)
     fast, fast_engine, fast_trace = machine_with_engine()
-    run_to_completion(fast, tier=tier)
+    DRIVERS[driver](fast)
     assert fingerprint(fast) == fingerprint(legacy)
     assert fast_engine.summary() == legacy_engine.summary()
     assert ([repr(e) for e in fast_trace.events]
@@ -109,16 +107,15 @@ def spin_program():
     return b.build()
 
 
-@pytest.mark.parametrize("tier", FAST_TIERS)
-def test_run_respects_max_steps_budget(tier):
+def test_run_respects_max_steps_budget():
     machine = Machine(spin_program())
-    retired = machine.run(max_steps=1000, tier=tier)
+    retired = machine.run(max_steps=1000)
     assert retired == 1000
     assert machine.instructions_executed == 1000
     assert machine.main_context.instruction_count == 1000
     assert machine.main_context.state is ContextState.RUNNING
     # and the loop can resume from the synced pc
-    assert machine.run(max_steps=7, tier=tier) == 7
+    assert machine.run(max_steps=7) == 7
     assert machine.instructions_executed == 1007
 
 
@@ -135,9 +132,10 @@ def test_instruction_limit_identical_to_step_loop():
             driver(machine)
         return fingerprint(machine)
 
-    legacy = run_out(drive_legacy)
+    legacy = run_out(drive_steps)
     fast = run_out(run_to_completion)
     assert fast == legacy
+    assert run_out(drive_thunks) == legacy
     # step() counts the over-limit attempt in the global counter only
     assert fast["instructions_executed"] == 5001
     assert fast["instruction_count"] == 5000
@@ -147,12 +145,8 @@ def test_instruction_limit_identical_to_step_loop():
 
 
 def _fault_fingerprints(program, exc_type, match):
-    drivers = [drive_legacy] + [
-        (lambda m, t=tier: run_to_completion(m, tier=t))
-        for tier in FAST_TIERS
-    ]
     results = []
-    for driver in drivers:
+    for driver in (drive_steps, drive_thunks, run_to_completion):
         machine = Machine(program)
         with pytest.raises(exc_type, match=match):
             driver(machine)
@@ -170,7 +164,7 @@ def test_ret_fault_identical():
     p.append(Instruction("ret"))
     p.finalize()
     fp = _fault_fingerprints(p, ExecutionFault, "empty call stack")
-    assert fp["pc"] == 1  # both tiers leave the pc on the faulting ret
+    assert fp["pc"] == 1  # every driver leaves the pc on the faulting ret
     assert fp["instructions_executed"] == 2  # the faulting op is counted
 
 
@@ -200,6 +194,76 @@ def test_division_fault_identical():
             b.idiv(d, a, z)
         b.halt()
     _fault_fingerprints(b.build(), ExecutionFault, "division by zero")
+
+
+# -- every specialized thunk, run directly ----------------------------------------
+
+#: the ops build_thunks defers to their single-step handler
+LEGACY_THUNK_OPS = {"tst", "tstx", "tcheck", "treturn", "halt"}
+
+
+def _every_thunk_program():
+    """Runs each specialized op; every branch is taken and not taken."""
+    b = ProgramBuilder()
+    b.data("cells", [3, 7])
+    with b.function("main"):
+        b.la(4, "cells")
+        for reg, value in ((5, 6), (6, 4), (7, 2.5), (8, 0), (12, 1)):
+            b.li(reg, value)
+        b.mov(13, 5)
+        b.nop()
+        b.ld(9, 4, 1)
+        b.ldx(10, 4, 12)
+        b.st(5, 4, 0)
+        b.stx(6, 4, 12)
+        for op in [*_ALU_RRR_FNS, *_ALU_RRI_FNS, *_ALU_RR_FNS]:
+            b.emit(op, 9, 7, None if op in _ALU_RR_FNS else 6)
+            b.out(9)
+        for op in [*_BRANCH_RRL_FNS, "beqz", "bnez"]:
+            for x, y in ((5, 6), (6, 5), (8, 8)):
+                over = b.fresh_label("over")
+                b.emit(op, x, y if op in _BRANCH_RRL_FNS else None,
+                       label=over)
+                b.out(x)
+                b.label(over)
+        b.jmp("after")
+        b.out(5)
+        b.label("after")
+        b.call("bump")
+        b.out(13)
+        b.halt()
+    with b.function("bump"):
+        b.addi(13, 13, 1)
+        b.ret()
+    return b.build()
+
+
+def test_every_specialized_thunk_matches_step():
+    program = _every_thunk_program()
+    legacy = Machine(program)
+    drive_steps(legacy)
+    executed = set()
+    thunked = Machine(program)
+    drive_thunks(thunked, executed)
+    assert fingerprint(thunked) == fingerprint(legacy)
+    assert executed >= set(_DISPATCH) - LEGACY_THUNK_OPS
+
+
+@pytest.mark.parametrize("address, exc_type, match", [
+    (-5, MemoryFault, "outside address space"),
+    (2.5, AlignmentFault, "non-integer address"),
+])
+@pytest.mark.parametrize("op", ["ld", "ldx", "st", "stx"])
+def test_memory_thunk_faults_match_step(op, address, exc_type, match):
+    b = ProgramBuilder()
+    with b.function("main"):
+        b.li(4, address)
+        b.li(5, 0)
+        b.emit(op, 6, 4, 5 if op.endswith("x") else 0)
+        b.halt()
+    fp = _fault_fingerprints(b.build(), exc_type, match)
+    assert fp["pc"] == 2  # the faulting access, counted as in step()
+    assert fp["instructions_executed"] == 3
 
 
 # -- fallback and rebuild rules ---------------------------------------------------
@@ -242,8 +306,8 @@ def test_fast_run_after_restore_reuses_memory_identity():
 
 
 def test_equivalence_survives_interleaved_tiers():
-    # stepping and batch-running the same machine may be freely mixed,
-    # across all three tiers
+    # stepping and budgeted batch runs of the same machine may be freely
+    # mixed
     workload = SUITE["gzip"]
     inp = workload.make_input(scale=4)
     program = workload.build_baseline(inp)
@@ -251,8 +315,10 @@ def test_equivalence_survives_interleaved_tiers():
     main = mixed.main_context
     for _ in range(137):
         mixed.step(main)
-    mixed.run(main, max_steps=501, tier="closure")
-    mixed.run(main, max_steps=503, tier="superblock")
+    mixed.run(main, max_steps=501)
+    for _ in range(7):
+        mixed.step(main)
+    mixed.run(main, max_steps=503)
     while main.state is ContextState.RUNNING:
         mixed.step(main)
     reference = Machine(program)
@@ -260,13 +326,7 @@ def test_equivalence_survives_interleaved_tiers():
     assert fingerprint(mixed) == fingerprint(reference)
 
 
-# -- superblock tier specifics -----------------------------------------------------
-
-
-def test_unknown_tier_rejected(tiny_program):
-    machine = Machine(tiny_program)
-    with pytest.raises(ValueError, match="unknown execution tier"):
-        machine.run(tier="jit")
+# -- superblock specifics ----------------------------------------------------------
 
 
 def _guard_side_exit_program(limit):
@@ -337,9 +397,9 @@ def test_superblock_code_cache_shares_compiles_across_machines():
     program = workload.build_baseline(workload.make_input(scale=4))
     superblock.reset_cache_stats()
     first = Machine(program)
-    run_to_completion(first, tier="superblock")
+    run_to_completion(first)
     second = Machine(program)
-    run_to_completion(second, tier="superblock")
+    run_to_completion(second)
     stats = superblock.cache_stats()
     assert stats["cache_misses"] == 1
     assert stats["cache_hits"] >= 1
